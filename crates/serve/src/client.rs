@@ -53,7 +53,13 @@ impl Client {
     /// anything containing `/` is a Unix socket path, else a TCP address.
     pub fn connect(spec: &str) -> io::Result<Client> {
         let stream = match Listen::parse(spec) {
-            Listen::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr)?),
+            Listen::Tcp(addr) => {
+                let stream = TcpStream::connect(addr)?;
+                // Requests go out at once rather than waiting on Nagle's
+                // algorithm for the daemon's delayed ACK.
+                stream.set_nodelay(true)?;
+                Stream::Tcp(stream)
+            }
             #[cfg(unix)]
             Listen::Unix(path) => Stream::Unix(std::os::unix::net::UnixStream::connect(path)?),
             #[cfg(not(unix))]

@@ -53,12 +53,20 @@ pub const DEFAULT_PRIORITY: u8 = 4;
 /// The least-urgent admissible `priority` value.
 pub const MAX_PRIORITY: u8 = 9;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame: the little-endian `u32` length and
+/// the payload go out in a single `write_all`.
+///
+/// One write per frame matters on TCP. Written as two, the payload is a
+/// small segment sent while the length is still unacknowledged, so Nagle's
+/// algorithm holds it until the peer's delayed ACK (about 40 ms on Linux).
+/// Both ends of a daemon connection also set `TCP_NODELAY`.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -1317,6 +1325,20 @@ mod tests {
             let (_, _, error) = parse(json).expect_err(json);
             assert_eq!(error, message, "for request {json}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_json_is_a_bad_request() {
+        let (v, id, error) =
+            parse(&"[".repeat(500_000)).expect_err("nested brackets must not parse");
+        assert_eq!((v, id), (PROTOCOL_VERSION, 0));
+        assert_eq!(
+            error,
+            format!(
+                "invalid JSON: recursion limit exceeded at line 1 column {}",
+                serde_json::MAX_DEPTH + 1
+            )
+        );
     }
 
     #[test]

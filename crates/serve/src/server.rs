@@ -580,7 +580,14 @@ impl Listener {
     fn accept(&self) -> io::Result<Option<Conn>> {
         match self {
             Listener::Tcp(listener) => match listener.accept() {
-                Ok((stream, _)) => Ok(Some(Conn::Tcp(stream))),
+                Ok((stream, _)) => {
+                    // Without this, a reply written while an earlier frame
+                    // is unacknowledged waits for the client's delayed ACK.
+                    // Best effort: a connection that cannot take the option
+                    // is still served, only slower.
+                    let _ = stream.set_nodelay(true);
+                    Ok(Some(Conn::Tcp(stream)))
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
                 Err(e) => Err(e),
             },
